@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.canonical import write_atomic
 from repro.checkpoint.snapshot import CheckpointError, Snapshot
 
 #: A well-formed bundle name: zero-padded event count, so lexicographic
@@ -107,9 +108,7 @@ class CheckpointStore:
         path = self.directory / (
             f"checkpoint-{snapshot.events_processed:012d}.json"
         )
-        tmp = path.with_name(path.name + ".tmp")
-        snapshot.save(tmp)
-        os.replace(tmp, path)
+        write_atomic(path, snapshot.to_json())
         self.prune()
         return path
 

@@ -34,7 +34,8 @@ from __future__ import annotations
 import json
 
 from repro.checkpoint.policy import CheckpointPolicy, CheckpointStore
-from repro.checkpoint.snapshot import CheckpointError, Snapshot, canonical_json
+from repro.canonical import canonical_json
+from repro.checkpoint.snapshot import CheckpointError, Snapshot
 from repro.checkpoint.workloads import RunContext, build_workload
 from repro.core.watchdog import RollbackSignal
 from repro.sim import us

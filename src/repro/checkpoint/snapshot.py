@@ -28,9 +28,10 @@ identity check.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import TYPE_CHECKING
+
+from repro.canonical import canonical_json, content_digest
 
 if TYPE_CHECKING:
     from repro.core.nos import NanoOS
@@ -48,16 +49,6 @@ class CheckpointError(RuntimeError):
 
 class BundleIntegrityError(CheckpointError):
     """The bundle's content digest does not match its payload."""
-
-
-def canonical_json(payload) -> str:
-    """Canonical serialisation: sorted keys, compact, byte-stable."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def content_digest(payload) -> str:
-    """SHA-256 over the canonical JSON of ``payload``."""
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 class Snapshot:

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.checkpoint.snapshot import CheckpointError, Snapshot, content_digest
+from repro.canonical import content_digest
+from repro.checkpoint.snapshot import CheckpointError, Snapshot
 
 
 @dataclass
@@ -142,13 +143,17 @@ def _system_kwargs(params: dict) -> dict:
     return kwargs
 
 
-def _maybe_netscope(system, params: dict) -> None:
-    """Attach the fabric observatory when ``params["netscope"]`` asks.
+def _attach_observers(system, params: dict) -> None:
+    """Attach the observers that must exist before the workload loads.
 
-    Part of the params dict, so a resumed run rebuilds the same probes
-    (and the same heat-map bytes) from the checkpoint's setup record.
-    ``netscope_window_us`` sets the sampling window (default 1 µs).
+    ``params["trace"]`` attaches the machine-wide trace recorder
+    (``system.tracer``); ``params["netscope"]`` the fabric observatory,
+    sampling every ``netscope_window_us`` (default 1 µs).  Both are part
+    of the params dict, so a resumed run rebuilds the same observers
+    (and the same export bytes) from the checkpoint's setup record.
     """
+    if params.get("trace"):
+        system.trace()
     if params.get("netscope"):
         window_us = float(params.get("netscope_window_us", 1.0))
         system.netscope(window_ps=int(window_us * 1e6))
@@ -167,22 +172,115 @@ def _stream_route(system):
 
 @register_workload("demo")
 def _demo(params: dict) -> RunContext:
-    """The quickstart workload (producer/consumer + a spin loop)."""
-    from repro.__main__ import _demo_workload
+    """The quickstart workload: a spin loop plus a producer/consumer.
+
+    ``seed`` deterministically varies the loop count, the number of
+    streamed words and their values; without one the historical fixed
+    demo runs (1000 iterations, words ``[0, 1, 4, 9]``).
+    """
+    import random
+
     from repro.core.platform import SwallowSystem
+    from repro.xs1 import Compute, RecvWord, SendWord, assemble
 
     system = SwallowSystem(**_system_kwargs(params))
-    _maybe_netscope(system, params)
-    received = _demo_workload(system, seed=params.get("seed"))
+    _attach_observers(system, params)
+    seed = params.get("seed")
+    if seed is None:
+        loop_count, values = 1000, [i * i for i in range(4)]
+    else:
+        rng = random.Random(seed)
+        loop_count = rng.randrange(200, 2000)
+        words = rng.randrange(2, 9)
+        values = [rng.randrange(0, 1 << 16) for _ in range(words)]
+    system.spawn(system.core(0), assemble(f"""
+        ldc r0, {loop_count}
+    loop:
+        subi r0, r0, 1
+        bt r0, loop
+        freet
+    """))
+    channel = system.channel(system.core(1), system.core(10))
+    received: list[int] = []
+
+    def producer():
+        for value in values:
+            yield Compute(100)
+            yield SendWord(channel.a, value)
+
+    def consumer():
+        for _ in values:
+            received.append((yield RecvWord(channel.b)))
+
+    system.spawn_task(system.core(1), producer())
+    system.spawn_task(system.core(10), consumer())
     return RunContext(system=system, received=received)
+
+
+@register_workload("span_pipeline")
+def _span_pipeline(params: dict) -> RunContext:
+    """A span-instrumented three-stage pipeline.
+
+    Producer → relay → consumer across cores 0, 1 and 10, each stage
+    under its own child span of one ``pipeline`` root, which closes
+    when the consumer takes the last word.  ``seed`` varies the word
+    count and per-word compute cost; without one, 6 words at 120
+    instructions.
+    """
+    import random
+
+    from repro.core.platform import SwallowSystem
+    from repro.xs1 import Compute, RecvWord, SendWord
+
+    system = SwallowSystem(**_system_kwargs(params))
+    _attach_observers(system, params)
+    root = system.spans().span("pipeline")
+    root.begin(system.sim.now)
+    seed = params.get("seed")
+    if seed is None:
+        words, cost = 6, 120
+    else:
+        rng = random.Random(seed)
+        words = rng.randrange(3, 10)
+        cost = rng.randrange(60, 260)
+    first = system.channel(system.core(0), system.core(1))
+    second = system.channel(system.core(1), system.core(10))
+    received: list[int] = []
+
+    def producer():
+        for i in range(words):
+            yield Compute(cost)
+            yield SendWord(first.a, i * 3 + 1)
+
+    def relay():
+        for _ in range(words):
+            value = yield RecvWord(first.b)
+            yield Compute(cost // 2)
+            yield SendWord(second.a, value * 2)
+
+    def consumer():
+        for _ in range(words):
+            received.append((yield RecvWord(second.b)))
+        root.finish(system.sim.now)
+
+    system.spawn_task(system.core(0), producer(), name="produce",
+                      span=root.child("produce"))
+    system.spawn_task(system.core(1), relay(), name="relay",
+                      span=root.child("relay"))
+    system.spawn_task(system.core(10), consumer(), name="consume",
+                      span=root.child("consume"))
+    return RunContext(
+        system=system,
+        received=received,
+        expected=[(i * 3 + 1) * 2 for i in range(words)],
+    )
 
 
 @register_workload("faults_stream")
 def _faults_stream(params: dict) -> RunContext:
     """A reliable word stream under a seeded fault campaign.
 
-    The exact workload of ``python -m repro faults``: a producer
-    streams ``words`` values over a :class:`ReliableChannel` crossing
+    A producer streams ``words`` values over a :class:`ReliableChannel` crossing
     one vertical link, while the campaign injects the given ``faults``
     (default: one flaky link on the stream's route from t=0).
     """
@@ -192,7 +290,7 @@ def _faults_stream(params: dict) -> RunContext:
 
     words = int(params.get("words", 16))
     system = SwallowSystem(**_system_kwargs(params))
-    _maybe_netscope(system, params)
+    _attach_observers(system, params)
     node_a, node_b, cores = _stream_route(system)
     channel = ReliableChannel.between(cores[node_a], cores[node_b])
     received: list[int] = []
@@ -256,7 +354,7 @@ def _watchdog_stream(params: dict) -> RunContext:
 
     words = int(params.get("words", 24))
     system = SwallowSystem(**_system_kwargs(params))
-    _maybe_netscope(system, params)
+    _attach_observers(system, params)
     node_a, node_b, cores = _stream_route(system)
     channel = ReliableChannel.between(
         cores[node_a], cores[node_b],
@@ -351,7 +449,7 @@ def _policy_rt(params: dict) -> RunContext:
     from repro.xs1.behavioral import Compute
 
     system = SwallowSystem(**_system_kwargs(params))
-    _maybe_netscope(system, params)
+    _attach_observers(system, params)
 
     policy_name = str(params.get("policy", "least_loaded"))
     k = int(params.get("k", 1))

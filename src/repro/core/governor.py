@@ -12,13 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.energy.dvfs import LADDER_MHZ
 from repro.energy.measurement import MeasurementBoard
 from repro.sim import Frequency
 from repro.xs1.behavioral import BehavioralThread, Sleep
 from repro.xs1.core import XCore
 
-#: Frequency ladder the governor steps through (MHz).
-DEFAULT_LADDER_MHZ = (71, 125, 250, 375, 500)
+#: Frequency ladder the governor steps through (MHz): the machine-wide
+#: DVFS ladder as whole megahertz, so the logged rungs stay ints.
+DEFAULT_LADDER_MHZ = tuple(int(f_mhz) for f_mhz in LADDER_MHZ)
 
 
 @dataclass

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.canonical import write_atomic
 from repro.farm.cache import ResultCache
 from repro.farm.pool import FarmReport, WorkerPool, farm_report
 from repro.farm.queue import JobQueue
@@ -59,13 +60,10 @@ def save_spec(spec: SweepSpec, directory) -> Path:
     """Persist the spec into the sweep directory (atomic replace)."""
     dirs = SweepDirs(directory)
     dirs.root.mkdir(parents=True, exist_ok=True)
-    temp = dirs.spec_path.with_suffix(".tmp")
-    temp.write_text(
+    return write_atomic(
+        dirs.spec_path,
         json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
     )
-    temp.replace(dirs.spec_path)
-    return dirs.spec_path
 
 
 def load_spec(directory) -> SweepSpec:

@@ -18,7 +18,7 @@ network-energy visualisation shapes, arXiv:1509.02830):
 
 from __future__ import annotations
 
-from repro.checkpoint.snapshot import canonical_json
+from repro.canonical import canonical_json
 
 #: Overlay document schema tag.
 OVERLAY_SCHEMA = "dse-fleet-overlay/1"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from repro.checkpoint.snapshot import canonical_json, content_digest
+from repro.canonical import canonical_json, content_digest
 from repro.dse.spec import Objective, default_objectives
 
 #: Front document schema tag (bump on any incompatible shape change).

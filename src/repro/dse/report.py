@@ -12,7 +12,7 @@ between a cold and a warm farm pass and would break byte-identity.
 
 from __future__ import annotations
 
-from repro.checkpoint.snapshot import canonical_json, content_digest
+from repro.canonical import canonical_json, content_digest
 
 #: Report schema tag (bump on any incompatible shape change).
 SCHEMA = "dse-report/1"

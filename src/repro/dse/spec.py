@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.checkpoint.snapshot import content_digest
+from repro.canonical import content_digest
 from repro.farm.spec import FarmError, MatrixSpec
 
 #: Goals an objective may declare.

@@ -51,7 +51,7 @@ def dvfs_power_mw(f_mhz: float, utilization: float = 1.0) -> float:
 
 
 #: Discrete operating points a DVFS policy may step between, lowest
-#: first.  Matches the PowerGovernor's frequency ladder: 71 MHz is the
+#: first; the PowerGovernor's ladder derives from it.  71 MHz is the
 #: 0.6 V anchor, 500 MHz the 0.95 V maximum.
 LADDER_MHZ = (71.0, 125.0, 250.0, 375.0, 500.0)
 

@@ -19,10 +19,9 @@ wrong answer).
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
-from repro.checkpoint.snapshot import canonical_json, content_digest
+from repro.canonical import canonical_json, content_digest, write_atomic
 
 
 class ResultCache:
@@ -72,11 +71,7 @@ class ResultCache:
                 f"document config does not hash to {digest[:12]}…; refusing "
                 f"to poison the cache"
             )
-        path = self._path(digest)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(canonical_json(document), encoding="utf-8")
-        os.replace(tmp, path)
-        return path
+        return write_atomic(self._path(digest), canonical_json(document))
 
     def __contains__(self, digest: str) -> bool:
         return self._path(digest).exists()

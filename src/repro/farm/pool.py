@@ -32,7 +32,7 @@ import multiprocessing
 import time
 from pathlib import Path
 
-from repro.checkpoint.snapshot import canonical_json
+from repro.canonical import canonical_json
 from repro.farm.cache import ResultCache
 from repro.farm.queue import CLAIMABLE, JobQueue, JobRecord
 from repro.farm.spec import FarmError

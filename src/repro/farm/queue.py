@@ -20,10 +20,9 @@ claimable ``preempted`` ones.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
-from repro.checkpoint.snapshot import canonical_json
+from repro.canonical import canonical_json, write_atomic
 from repro.farm.spec import FarmError, JobSpec
 
 #: Legal job states.
@@ -103,10 +102,8 @@ class JobQueue:
         return self.jobs_dir / f"{job_id}.json"
 
     def _save(self, record: JobRecord) -> None:
-        path = self._path(record.job_id)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(canonical_json(record.to_dict()), encoding="utf-8")
-        os.replace(tmp, path)
+        write_atomic(self._path(record.job_id),
+                     canonical_json(record.to_dict()))
 
     def get(self, job_id: str) -> JobRecord:
         path = self._path(job_id)

@@ -22,7 +22,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from repro.checkpoint.snapshot import canonical_json, content_digest
+from repro.canonical import canonical_json, content_digest
 
 
 class FarmError(RuntimeError):

@@ -31,14 +31,13 @@ moves between workers as bundles on disk, never as live objects.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import traceback
 from pathlib import Path
 
+from repro.canonical import canonical_json, write_atomic
 from repro.checkpoint.policy import CheckpointPolicy, CheckpointStore
 from repro.checkpoint.resume import ResumableRun
-from repro.checkpoint.snapshot import canonical_json
 from repro.obs.perf import RunHeartbeat
 
 #: Exit code of a preempted (resumable) worker — EX_TEMPFAIL, matching
@@ -114,10 +113,7 @@ def execute_job(
     if run.killed:
         return EXIT_PREEMPTED
     document = result_document(config, run.final_report())
-    result_path = work_dir / "result.json"
-    tmp = result_path.with_suffix(".json.tmp")
-    tmp.write_text(canonical_json(document), encoding="utf-8")
-    os.replace(tmp, result_path)
+    write_atomic(work_dir / "result.json", canonical_json(document))
     return 0
 
 

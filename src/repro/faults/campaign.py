@@ -24,11 +24,11 @@ Fault vocabulary (all times in campaign microseconds):
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
+from repro.canonical import canonical_json
 from repro.core.platform import SwallowSystem
 from repro.faults.healing import HealthMonitor
 from repro.network.routing import RoutingError
@@ -131,7 +131,7 @@ class CampaignReport:
 
     def to_json(self) -> str:
         """Canonical JSON (sorted keys, compact) — byte-stable across runs."""
-        return json.dumps(self.payload, sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.payload)
 
     def render(self) -> str:
         """A human-readable summary."""

@@ -17,7 +17,7 @@ bytes, and the CI smoke job diffs them to prove it.
 
 from __future__ import annotations
 
-from repro.checkpoint.snapshot import canonical_json, content_digest
+from repro.canonical import canonical_json, content_digest
 from repro.checkpoint.workloads import build_workload
 from repro.farm.spec import JobSpec, MatrixSpec
 from repro.xs1.errors import ResourceError

@@ -27,8 +27,9 @@ returns an empty snapshot without running any collector.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Callable, Iterable
+
+from repro.canonical import canonical_json
 
 #: A collector's emit callback: ``emit(name, labels, value)``.
 EmitFn = Callable[[str, dict[str, str], Any], None]
@@ -239,7 +240,7 @@ class MetricsSnapshot:
 
     def to_json(self) -> str:
         """Canonical JSON (sorted keys, compact) — byte-stable across runs."""
-        return json.dumps(self._by_key, sort_keys=True, separators=(",", ":"))
+        return canonical_json(self._by_key)
 
     def render(self, prefix: str | None = None) -> str:
         """A human-readable listing, optionally filtered by name prefix."""

@@ -40,6 +40,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from repro.canonical import canonical_json
+
 if TYPE_CHECKING:
     from repro.network.fabric import LinkRecord, SwallowFabric
     from repro.network.link import HalfLink
@@ -395,10 +397,7 @@ class NetScope:
 
     def heatmap_json(self) -> str:
         """The heat map as canonical (byte-stable) JSON."""
-        import json
-
-        return json.dumps(self.heatmap(), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_json(self.heatmap())
 
     # -- Chrome counter tracks ---------------------------------------------
 

@@ -28,12 +28,13 @@ same-seed runs produce byte-identical heartbeat cores.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, TextIO
+
+from repro.canonical import canonical_json, content_digest
 
 #: Heartbeat fields derived from the wall clock — excluded from
 #: byte-identity comparisons and from any determinism digest.
@@ -42,8 +43,7 @@ WALL_FIELDS = frozenset({"wall_s", "events_per_sec"})
 
 def config_digest(config: Any) -> str:
     """A short stable digest of a JSON-able configuration object."""
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return content_digest(config)[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +154,7 @@ class PerfHistory:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as handle:
             for record in rows:
-                handle.write(json.dumps(record.to_dict(), sort_keys=True,
-                                        separators=(",", ":")) + "\n")
+                handle.write(canonical_json(record.to_dict()) + "\n")
         return len(rows)
 
     def load(self) -> list[PerfRecord]:
@@ -384,8 +383,7 @@ class RunHeartbeat:
             if self._handle is None:
                 self._out_path.parent.mkdir(parents=True, exist_ok=True)
                 self._handle = open(self._out_path, "w", encoding="utf-8")
-            self._handle.write(json.dumps(line, sort_keys=True,
-                                          separators=(",", ":")) + "\n")
+            self._handle.write(canonical_json(line) + "\n")
             self._handle.flush()
         return line
 
@@ -424,8 +422,7 @@ class RunHeartbeat:
     def core_jsonl(self) -> str:
         """The deterministic cores of every line, as canonical JSONL."""
         return "".join(
-            json.dumps(heartbeat_core(line), sort_keys=True,
-                       separators=(",", ":")) + "\n"
+            canonical_json(heartbeat_core(line)) + "\n"
             for line in self.lines
         )
 

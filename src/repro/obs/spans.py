@@ -20,9 +20,10 @@ byte-identical files.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Iterable
+
+from repro.canonical import canonical_json
 
 
 @dataclass(frozen=True)
@@ -221,14 +222,8 @@ class SpanRecorder:
 
     def to_jsonl(self) -> str:
         """Spans (by id) then messages (in order) as canonical JSON Lines."""
-        lines = [
-            json.dumps(span.to_dict(), sort_keys=True, separators=(",", ":"))
-            for span in self.spans
-        ]
-        lines += [
-            json.dumps(msg.to_dict(), sort_keys=True, separators=(",", ":"))
-            for msg in self.messages
-        ]
+        lines = [canonical_json(span.to_dict()) for span in self.spans]
+        lines += [canonical_json(msg.to_dict()) for msg in self.messages]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def digest(self) -> str:

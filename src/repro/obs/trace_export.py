@@ -18,8 +18,9 @@ determinism tests pin down.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Any, Iterable
+
+from repro.canonical import canonical_json
 
 if TYPE_CHECKING:
     from repro.obs.netscope import NetScope
@@ -61,16 +62,12 @@ def source_category(source: str) -> str:
 def to_jsonl(records: Iterable["TraceRecord"]) -> str:
     """Serialise records as JSON Lines (one object per record)."""
     lines = [
-        json.dumps(
-            {
-                "time_ps": rec.time_ps,
-                "source": rec.source,
-                "kind": rec.kind,
-                "detail": [str(d) for d in rec.detail],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        canonical_json({
+            "time_ps": rec.time_ps,
+            "source": rec.source,
+            "kind": rec.kind,
+            "detail": [str(d) for d in rec.detail],
+        })
         for rec in records
     ]
     return "\n".join(lines) + ("\n" if lines else "")
@@ -214,8 +211,9 @@ def chrome_trace_json(
     netscope: "NetScope | None" = None,
 ) -> str:
     """The Chrome trace document as canonical (byte-stable) JSON."""
-    return json.dumps(to_chrome_trace(records, spans=spans, netscope=netscope),
-                      sort_keys=True, separators=(",", ":"))
+    return canonical_json(
+        to_chrome_trace(records, spans=spans, netscope=netscope)
+    )
 
 
 def write_jsonl(records: Iterable["TraceRecord"], path) -> None:
@@ -278,5 +276,4 @@ def profile_chrome_trace(profile: "SimProfile") -> dict[str, Any]:
 def write_profile_chrome_trace(profile: "SimProfile", path) -> None:
     """Write the simulator meta-trace (see :func:`profile_chrome_trace`)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(profile_chrome_trace(profile), sort_keys=True,
-                            separators=(",", ":")))
+        fh.write(canonical_json(profile_chrome_trace(profile)))

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` CLI."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -31,11 +33,25 @@ class TestTables:
 
 
 class TestDemo:
-    def test_demo_runs_and_reports(self, capsys):
-        assert main(["demo"]) == 0
+    def test_demo_runs_and_reports(self, capsys, tmp_path):
+        assert main(["run", "demo", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "streamed words: [0, 1, 4, 9]" in out
         assert "Energy report" in out
+        assert "recovery report: completed" in out
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["received"] == [0, 1, 4, 9]
+
+
+def _tamper_digest(bundle):
+    payload = json.loads(bundle.read_text())
+    payload["digest"] = "0" * 64
+    bundle.write_text(json.dumps(payload))
+
+
+def _tamper_schema(bundle):
+    payload = json.loads(bundle.read_text())
+    payload["schema"] = 999
+    bundle.write_text(json.dumps(payload))
 
 
 class TestCheckpointCli:
@@ -43,7 +59,7 @@ class TestCheckpointCli:
         """--kill-after-events simulates a crash: exit 75 + bundles on disk."""
         store = tmp_path / "store"
         code = main([
-            "faults", "--words", "8", "--seed", "3",
+            "run", "faults_stream", "--params", '{"words": 8, "seed": 3}',
             "--checkpoint-every", "400",
             "--checkpoint-dir", str(store),
             "--kill-after-events", "1200",
@@ -54,58 +70,115 @@ class TestCheckpointCli:
         assert list(store.glob("checkpoint-*.json"))
 
     def test_checkpoint_then_resume_completes(self, capsys, tmp_path):
-        bundle = tmp_path / "bundle.json"
+        """A bundle path as TARGET resumes that bundle to completion."""
+        store = tmp_path / "store"
         assert main([
-            "checkpoint", "--workload", "faults_stream",
-            "--params", '{"words": 8, "seed": 1}',
-            "--after-events", "900", "--out", str(bundle),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "events processed  900" in out
+            "run", "faults_stream", "--params", '{"words": 8, "seed": 1}',
+            "--checkpoint-every", "900", "--checkpoint-dir", str(store),
+            "--kill-after-events", "900",
+        ]) == 75
+        capsys.readouterr()
+        bundle = store / "checkpoint-000000000900.json"
         assert bundle.exists()
-        assert main(["resume", str(bundle)]) == 0
+        assert main(["run", str(bundle)]) == 0
         out = capsys.readouterr().out
         assert "@ 900 events, verified" in out
         assert "recovery report: completed" in out
         assert "delivered         8 (intact)" in out
 
     def test_resume_from_store_matches_uninterrupted(self, capsys, tmp_path):
-        """The CI soak flow in miniature: kill, resume from the store,
+        """The CI soak flow in miniature: kill, rerun against the store,
         and diff the final JSON report against an uninterrupted run."""
-        import json
+        from repro.canonical import canonical_json
+        from repro.checkpoint import build_workload
 
         store = tmp_path / "store"
-        report_path = tmp_path / "resumed.json"
-        assert main([
-            "faults", "--words", "8", "--seed", "3",
-            "--checkpoint-every", "300",
-            "--checkpoint-dir", str(store),
-            "--kill-after-events", "1000",
-        ]) == 75
+        command = ["run", "faults_stream", "--params", '{"words": 8, "seed": 3}',
+                   "--checkpoint-every", "300", "--checkpoint-dir", str(store),
+                   "--retain", "2"]
+        assert main([*command, "--kill-after-events", "1000"]) == 75
+        assert len(list(store.glob("checkpoint-*.json"))) == 2
         capsys.readouterr()
-        assert main([
-            "resume", "--dir", str(store),
-            "--report-out", str(report_path),
-        ]) == 0
-        capsys.readouterr()
-        resumed = json.loads(report_path.read_text())
-        resumed.pop("recovery")
+        assert main([*command, "--out", str(tmp_path / "out")]) == 0
+        assert "resumed from" in capsys.readouterr().out
+        resumed = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert resumed.pop("recovery")["outcome"] == "completed"
 
-        from repro.checkpoint import build_workload
-        reference = build_workload(
-            "faults_stream",
-            {"slices_x": 1, "slices_y": 1, "words": 8,
-             "drop_rate": 0.05, "seed": 3},
-        )
+        reference = build_workload("faults_stream", {"words": 8, "seed": 3})
         reference.system.run()
-        assert (
-            json.dumps(resumed, sort_keys=True)
-            == json.dumps(reference.final_report(), sort_keys=True)
+        assert canonical_json(resumed) == canonical_json(
+            reference.final_report()
         )
 
-    def test_resume_without_source_errors(self, capsys):
-        assert main(["resume"]) == 2
-        assert "need a bundle path or --dir" in capsys.readouterr().err
+    @pytest.mark.parametrize("target", [
+        "unknown-workload", "missing-bundle", "tampered-digest",
+        "tampered-schema",
+    ])
+    def test_bad_target_exits_2(self, capsys, tmp_path, target):
+        """Bad targets end in one typed ``repro run:`` line, exit 2."""
+        path = "bogus"
+        if target != "unknown-workload":
+            path = str(tmp_path / "bundle.json")
+        if target.startswith("tampered"):
+            assert main([
+                "run", "demo", "--checkpoint-every", "500",
+                "--checkpoint-dir", str(tmp_path / "store"),
+                "--kill-after-events", "500",
+            ]) == 75
+            bundle = tmp_path / "store" / "checkpoint-000000000500.json"
+            bundle.rename(path)
+            tamper = {"tampered-digest": _tamper_digest,
+                      "tampered-schema": _tamper_schema}[target]
+            tamper(tmp_path / "bundle.json")
+        capsys.readouterr()
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("repro run: "), err
+
+    def test_store_of_another_workload_is_refused(self, capsys, tmp_path):
+        store = tmp_path / "store"
+        assert main(["run", "demo", "--checkpoint-every", "500",
+                     "--checkpoint-dir", str(store),
+                     "--kill-after-events", "500"]) == 75
+        capsys.readouterr()
+        assert main(["run", "faults_stream",
+                     "--checkpoint-dir", str(store)]) == 2
+        assert "holds checkpoints of 'demo'" in capsys.readouterr().err
+
+
+class TestRunObservers:
+    def test_span_pipeline_artifacts(self, capsys, tmp_path):
+        """trace + profile + spans + heartbeat artifacts under --out."""
+        assert main(["run", "span_pipeline", "--params", '{"seed": 4}',
+                     "--observe", "trace,profile",
+                     "--heartbeat-every", "500",
+                     "--out", str(tmp_path)]) == 0
+        written = {path.name for path in tmp_path.iterdir()}
+        assert written == {
+            "report.json", "trace.json", "profile.folded",
+            "profile.trace.json", "spans.jsonl", "energy.folded",
+            "heartbeat.jsonl",
+        }
+        trace = json.loads((tmp_path / "trace.json").read_text())
+        phases = {event["ph"] for event in trace["traceEvents"]}
+        assert {"s", "f"} <= phases  # cross-core span flow arrows
+        spans = (tmp_path / "spans.jsonl").read_text().splitlines()
+        root = json.loads(spans[0])
+        assert root["name"] == "pipeline" and root["end_ps"] is not None
+        assert (tmp_path / "profile.folded").read_text().startswith("sim;")
+        beats = (tmp_path / "heartbeat.jsonl").read_text().splitlines()
+        assert json.loads(beats[-1])["final"] is True
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["delivered_ok"] is True
+
+    def test_artifacts_are_byte_identical_across_runs(self, tmp_path):
+        for tag in ("a", "b"):
+            assert main(["run", "span_pipeline", "--observe", "trace",
+                         "--out", str(tmp_path / tag)]) == 0
+        for name in ("report.json", "trace.json", "spans.jsonl",
+                     "energy.folded"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
 
 
 class TestParsing:

@@ -1,4 +1,5 @@
-"""End-to-end tests for ``python -m repro netscope`` and ``topo --heat``.
+"""End-to-end tests for ``python -m repro run --observe netscope`` and
+``topo --heat``.
 
 The CLI contract the docs advertise: exported heat maps and counter
 tracks are byte-identical across same-seed runs — including a run that
@@ -11,46 +12,41 @@ from repro.__main__ import EXIT_KILLED, main
 
 
 def _netscope(tmp_path, tag, *extra):
-    heat = tmp_path / f"heat_{tag}.json"
-    counters = tmp_path / f"counters_{tag}.json"
-    cut = tmp_path / f"cut_{tag}.json"
-    rc = main(["netscope", "--workload", "faults_stream",
-               "--words", "8", "--seed", "7",
-               "--heatmap-out", str(heat),
-               "--counters-out", str(counters),
-               "--slice-cut-out", str(cut),
-               *extra])
-    return rc, heat, counters, cut
+    out = tmp_path / tag
+    rc = main(["run", "faults_stream", "--params", '{"words": 8, "seed": 7}',
+               "--observe", "netscope", "--out", str(out), *extra])
+    return rc, out / "netscope.json", out / "netscope.counters.json"
 
 
 class TestNetscopeCli:
     def test_fresh_runs_are_byte_identical(self, tmp_path, capsys):
-        rc_a, heat_a, counters_a, cut_a = _netscope(tmp_path, "a")
+        rc_a, heat_a, counters_a = _netscope(tmp_path, "a")
         assert rc_a == 0
         out = capsys.readouterr().out
         assert "netscope:" in out
         assert "blocked total" in out
-        rc_b, heat_b, counters_b, cut_b = _netscope(tmp_path, "b")
+        rc_b, heat_b, counters_b = _netscope(tmp_path, "b")
         assert rc_b == 0
         assert heat_a.read_bytes() == heat_b.read_bytes()
         assert counters_a.read_bytes() == counters_b.read_bytes()
-        assert cut_a.read_bytes() == cut_b.read_bytes()
+        counters = json.loads(counters_a.read_text())["traceEvents"]
+        assert {event["ph"] for event in counters} == {"C", "M"}
 
     def test_kill_resume_matches_uninterrupted(self, tmp_path, capsys):
-        rc, reference, _, _ = _netscope(tmp_path, "reference")
+        rc, reference, _ = _netscope(tmp_path, "reference")
         assert rc == 0
         capsys.readouterr()
 
         store = tmp_path / "store"
-        rc, _, _, _ = _netscope(
+        rc, _, _ = _netscope(
             tmp_path, "killed",
             "--checkpoint-every", "400", "--checkpoint-dir", str(store),
             "--kill-after-events", "1500",
         )
         assert rc == EXIT_KILLED
-        assert "rerun the same command to resume" in capsys.readouterr().out
+        assert "rerun without --kill-after-events" in capsys.readouterr().out
 
-        rc, resumed, _, _ = _netscope(
+        rc, resumed, _ = _netscope(
             tmp_path, "resumed",
             "--checkpoint-every", "400", "--checkpoint-dir", str(store),
         )
@@ -59,17 +55,19 @@ class TestNetscopeCli:
         assert resumed.read_bytes() == reference.read_bytes()
 
     def test_json_mode_emits_the_heatmap(self, tmp_path, capsys):
-        assert main(["netscope", "--workload", "faults_stream",
-                     "--words", "6", "--seed", "0", "--json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        heatmap = document["heatmap"]
+        """The heat map lands in the report and in netscope.json alike."""
+        assert main(["run", "faults_stream",
+                     "--params", '{"words": 6, "seed": 0}',
+                     "--observe", "netscope", "--out", str(tmp_path)]) == 0
+        heatmap = json.loads((tmp_path / "netscope.json").read_text())
         assert heatmap["schema"] == "netscope-heatmap/1"
         blocked = heatmap["blocked"]
         assert blocked["total_ps"] == sum(blocked["by_cause"].values())
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["netscope"] == heatmap
 
     def test_ascii_overlay_renders(self, tmp_path, capsys):
-        assert main(["netscope", "--workload", "demo",
-                     "--slices-x", "2", "--seed", "0", "--ascii"]) == 0
+        assert main(["topo", "--heat", "--slices-x", "2", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "heat ramp" in out
         assert "slice cut:" in out

@@ -72,14 +72,11 @@ class TestObservabilityDeterminism:
 
     @staticmethod
     def _run_demo(seed: int):
-        from repro.__main__ import _demo_workload
-        from repro import SwallowSystem
+        from repro.checkpoint import build_workload
 
-        system = SwallowSystem()
-        recorder = system.trace()
-        _demo_workload(system, seed=seed)
+        system = build_workload("demo", {"seed": seed, "trace": True}).system
         system.run()
-        return system, recorder
+        return system, system.tracer
 
     def test_metric_snapshots_byte_identical(self):
         first, _ = self._run_demo(seed=11)

@@ -1,8 +1,12 @@
 """API quality gates: the public surface is importable and documented."""
 
+import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -91,3 +95,36 @@ class TestDocumentation:
         assert not undocumented, (
             f"{len(undocumented)} methods: {undocumented[:10]}"
         )
+
+
+class TestLayering:
+    def test_library_never_imports_the_cli(self):
+        """Building every registered workload leaves the CLI unimported."""
+        code = (
+            "import sys\n"
+            "import repro\n"
+            "from repro.checkpoint import WORKLOADS, build_workload\n"
+            "for name in sorted(WORKLOADS):\n"
+            "    build_workload(name, {})\n"
+            "assert 'repro.__main__' not in sys.modules, 'CLI imported'\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+
+    def test_canonical_module_is_a_leaf(self):
+        """repro.canonical imports nothing from repro, so any layer may."""
+        import repro.canonical
+
+        with open(repro.canonical.__file__, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        imported = [
+            alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for alias in node.names
+        ] + [
+            node.module or "" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+        ]
+        assert not [name for name in imported if name.startswith("repro")]
