@@ -11,9 +11,9 @@ pure function of its configuration.
 
 from __future__ import annotations
 
-import heapq
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
@@ -65,37 +65,24 @@ def replay_window() -> Iterator[None]:
         KERNEL_STATS.events_replayed += replayed
 
 
-@dataclass(order=True)
-class _QueuedEvent:
-    time: int
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    executed: bool = field(default=False, compare=False)
-
-
 class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`; allows cancellation."""
+    """A scheduled event, returned by :meth:`Simulator.schedule`.
 
-    __slots__ = ("_event",)
+    The kernel queues ``(time, seq, handle)`` tuples, so the heap orders
+    entries with a C-level tuple compare and the ``seq`` tie-break means
+    two handles are never compared.  The handle is the only per-event
+    record: ``time`` is the absolute firing time in picoseconds,
+    ``cancelled`` is set by :meth:`cancel` before the event fired, and
+    ``executed`` once it fired.
+    """
 
-    def __init__(self, event: _QueuedEvent):
-        self._event = event
+    __slots__ = ("time", "callback", "cancelled", "executed")
 
-    @property
-    def time(self) -> int:
-        """Absolute firing time of the event, in picoseconds."""
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called before the event fired."""
-        return self._event.cancelled
-
-    @property
-    def executed(self) -> bool:
-        """Whether the event already fired."""
-        return self._event.executed
+    def __init__(self, time: int, callback: Callable[[], None]):
+        self.time = time
+        self.callback = callback
+        self.cancelled = False
+        self.executed = False
 
     def cancel(self) -> bool:
         """Prevent the event from firing.  Idempotent.
@@ -105,9 +92,9 @@ class EventHandle:
         event — is a safe no-op.  Returns True only when this call
         actually withdrew a pending event.
         """
-        if self._event.executed or self._event.cancelled:
+        if self.executed or self.cancelled:
             return False
-        self._event.cancelled = True
+        self.cancelled = True
         return True
 
 
@@ -122,7 +109,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[_QueuedEvent] = []
+        self._queue: list[tuple[int, int, EventHandle]] = []
         self._seq = 0
         self._now = 0
         self._events_processed = 0
@@ -143,7 +130,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of queued (non-cancelled) events."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for entry in self._queue if not entry[2].cancelled)
 
     @property
     def queue_depth_high_water(self) -> int:
@@ -162,13 +149,14 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time_ps} ps; simulation time is already {self._now} ps"
             )
-        event = _QueuedEvent(time=time_ps, seq=self._seq, callback=callback)
-        self._seq += 1
-        heapq.heappush(self._queue, event)
-        depth = len(self._queue)
-        if depth > self._queue_hwm:
-            self._queue_hwm = depth
-        return EventHandle(event)
+        handle = EventHandle(time_ps, callback)
+        seq = self._seq
+        self._seq = seq + 1
+        queue = self._queue
+        heappush(queue, (time_ps, seq, handle))
+        if len(queue) > self._queue_hwm:
+            self._queue_hwm = len(queue)
+        return handle
 
     def next_event_time(self) -> int | None:
         """Firing time of the next pending event, or None when idle.
@@ -177,26 +165,28 @@ class Simulator:
         effect, so checkpoint policies can peek without perturbing the
         execution trajectory.
         """
-        while self._queue:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            head = queue[0]
+            if head[2].cancelled:
+                heappop(queue)
                 if self._profiler is not None:
                     self._profiler.on_cancelled_pop()
                 continue
-            return head.time
+            return head[0]
         return None
 
     def step(self) -> bool:
         """Run the single next event.  Returns False if the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            time_ps, _, event = heappop(queue)
             profiler = self._profiler
             if event.cancelled:
                 if profiler is not None:
                     profiler.on_cancelled_pop()
                 continue
-            self._now = event.time
+            self._now = time_ps
             self._events_processed += 1
             event.executed = True
             if profiler is None:
@@ -249,7 +239,6 @@ class Simulator:
         stride = profiler._sample_every
         after_event = profiler.after_event
         on_cancelled = profiler.on_cancelled_pop
-        heappop = heapq.heappop
         executed = 0
         next_sample = stride
         processed_before = self._events_processed
@@ -260,11 +249,11 @@ class Simulator:
         run_len = profiler._rle_count
         try:
             while queue:
-                event = heappop(queue)
+                time_ps, _, event = heappop(queue)
                 if event.cancelled:
                     on_cancelled()
                     continue
-                self._now = event.time
+                self._now = time_ps
                 event.executed = True
                 executed += 1
                 callback = event.callback
@@ -308,14 +297,15 @@ class Simulator:
         self._running = True
         executed = 0
         try:
-            while self._queue:
-                head = self._queue[0]
-                if head.cancelled:
-                    heapq.heappop(self._queue)
+            queue = self._queue
+            while queue:
+                head = queue[0]
+                if head[2].cancelled:
+                    heappop(queue)
                     if self._profiler is not None:
                         self._profiler.on_cancelled_pop()
                     continue
-                if head.time > time_ps:
+                if head[0] > time_ps:
                     break
                 self.step()
                 executed += 1

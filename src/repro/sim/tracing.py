@@ -82,6 +82,25 @@ class TraceRecorder:
         self._appended += 1
         self._records.append((time_ps, source, kind, detail))
 
+    def sink(self, kind: str) -> Callable[[int, str, tuple], None] | None:
+        """``record`` for one ``kind`` and a prebuilt ``detail`` tuple.
+
+        Returns ``sink(time_ps, source, detail)`` for hot paths that
+        emit one record kind, or None when the kind filter drops
+        ``kind`` (always, for a :class:`NullTracer`).  Records and
+        :attr:`dropped` are as for :meth:`record`; a sink stays valid
+        across :meth:`clear`, which empties the record buffer in place.
+        """
+        if self._kinds is not None and kind not in self._kinds:
+            return None
+        append = self._records.append
+
+        def record(time_ps: int, source: str, detail: tuple) -> None:
+            self._appended += 1
+            append((time_ps, source, kind, detail))
+
+        return record
+
     def __len__(self) -> int:
         return len(self._records)
 

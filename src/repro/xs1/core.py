@@ -34,6 +34,9 @@ from repro.xs1.memory import Sram
 from repro.xs1.resources import LockResource, TimerResource
 from repro.xs1.thread import HardwareThread, IsaThread, StepOutcome, ThreadState
 
+_PAUSED = StepOutcome.PAUSED
+_PIPELINE_DEPTH = HardwareThread.PIPELINE_DEPTH
+
 
 @dataclass
 class CoreConfig:
@@ -78,7 +81,7 @@ class XCore:
         self.fabric = fabric
         self.config = config or CoreConfig()
         self.name = name or f"core{node_id}"
-        self.tracer = tracer or NullTracer()
+        self.tracer = tracer if tracer is not None else NullTracer()
         self.memory = Sram(self.config.sram_bytes)
         self.threads: list[HardwareThread] = []
         self._chanends = [Chanend(self, i) for i in range(self.config.num_chanends)]
@@ -104,6 +107,19 @@ class XCore:
         #: True once the core has been killed by a fault injection; a
         #: failed core accepts no new threads and runs no further slots.
         self.failed = False
+
+    @property
+    def tracer(self) -> TraceRecorder:
+        """The recorder receiving this core's ``issue`` records."""
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, tracer: TraceRecorder) -> None:
+        self._tracer = tracer
+        #: What ``_tick`` reports each issue to; None for a NullTracer
+        #: (or a recorder filtering out ``issue``), so an untraced core
+        #: pays no call per issue.
+        self._record_issue = tracer.sink("issue")
 
     # ------------------------------------------------------------------
     # Clocking
@@ -278,14 +294,23 @@ class XCore:
         self.sim.schedule_at(self._next_cycle_boundary(), self._tick)
 
     def _tick(self) -> None:
+        """One clock edge: give the issue slot to the next eligible thread.
+
+        ``cycle`` and ``_next_cycle_boundary()`` are inlined here.  The
+        next edge is computed after the slot, since the issued
+        instruction may have rescaled the core's clock.
+        """
         self._ticking = False
-        if not self._rotation:
+        rotation = self._rotation
+        if not rotation:
             return
+        sim = self.sim
+        now = sim.now
         issued = False
-        cycle = self.cycle
-        for _ in range(len(self._rotation)):
-            thread = self._rotation[0]
-            self._rotation.rotate(-1)
+        cycle = self._cycle_anchor + (now - self._anchor_time) // self._frequency.period_ps
+        for _ in range(len(rotation)):
+            thread = rotation[0]
+            rotation.rotate(-1)
             if thread.next_issue_cycle > cycle:
                 continue
             self.current_thread = thread
@@ -293,15 +318,21 @@ class XCore:
                 outcome = thread.step()
             finally:
                 self.current_thread = None
-            if outcome is not StepOutcome.PAUSED:  # issued or retired-and-halted
-                thread.next_issue_cycle = cycle + HardwareThread.PIPELINE_DEPTH
+            if outcome is not _PAUSED:  # issued or retired-and-halted
+                thread.next_issue_cycle = cycle + _PIPELINE_DEPTH
                 self.stats.slots_issued += 1
-                self.tracer.record(self.sim.now, self.name, "issue", thread.name)
+                if self._record_issue is not None:
+                    self._record_issue(now, self.name, thread.trace_detail)
             issued = True
             break
         if not issued:
             self.stats.slots_bubble += 1
-        self._ensure_ticking()
+        if self._ticking or not rotation:
+            return
+        self._ticking = True
+        period = self._frequency.period_ps
+        anchor = self._anchor_time
+        sim.schedule_at(anchor + ((now - anchor) // period + 1) * period, self._tick)
 
     # ------------------------------------------------------------------
     # Resources

@@ -31,6 +31,7 @@ if TYPE_CHECKING:
 
 _Handler = Callable[["XCore", "IsaThread", tuple[int, ...]], StepOutcome]
 _HANDLERS: dict[str, _Handler] = {}
+_PAUSED = StepOutcome.PAUSED
 
 
 def _handler(mnemonic: str) -> Callable[[_Handler], _Handler]:
@@ -43,13 +44,14 @@ def _handler(mnemonic: str) -> Callable[[_Handler], _Handler]:
 
 def execute(core: "XCore", thread: "IsaThread", instruction: Instruction) -> StepOutcome:
     """Execute ``instruction`` for ``thread``; returns the slot outcome."""
-    handler = _HANDLERS.get(instruction.mnemonic)
+    spec = instruction.spec
+    handler = _HANDLERS.get(spec.mnemonic)
     if handler is None:
-        raise TrapError(f"{thread.name}: unimplemented mnemonic {instruction.mnemonic!r}")
+        raise TrapError(f"{thread.name}: unimplemented mnemonic {spec.mnemonic!r}")
     outcome = handler(core, thread, instruction.args)
-    if outcome is not StepOutcome.PAUSED:  # issued or halting both retire
+    if outcome is not _PAUSED:  # issued or halting both retire
         thread.instructions_executed += 1
-        core.count_instruction(instruction.energy_class)
+        core.count_instruction(spec.energy_class)
     return outcome
 
 

@@ -46,6 +46,10 @@ class EnergyClass(Enum):
     RESOURCE = "resource"
     NOP = "nop"
 
+    #: Members are singletons, so identity hashing is exact and runs in
+    #: C; every retired instruction hashes its class into a Counter.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class InstructionSpec:

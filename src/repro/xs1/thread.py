@@ -52,6 +52,9 @@ class HardwareThread:
         self.core = core
         self.tid = tid
         self.name = name or f"{core.name}.t{tid}"
+        #: The ``detail`` of this thread's ``issue`` trace records,
+        #: built once rather than per issued slot.
+        self.trace_detail = (self.name,)
         self.state = ThreadState.RUNNABLE
         self.regs = RegisterFile()
         self.next_issue_cycle = 0
@@ -182,12 +185,14 @@ class IsaThread(HardwareThread):
 
     def step(self) -> StepOutcome:
         """Fetch and execute the instruction at ``pc``."""
-        from repro.xs1.executor import execute
-
         if self.pc < 0 or self.pc >= len(self.program.instructions):
             raise TrapError(
                 f"{self.name}: pc {self.pc} outside program "
                 f"{self.program.name!r} of {len(self.program.instructions)} instructions"
             )
         instruction = self.program.instructions[self.pc]
-        return execute(self.core, self, instruction)
+        return executor.execute(self.core, self, instruction)
+
+
+# Bound after the classes: the executor imports StepOutcome from here.
+from repro.xs1 import executor  # noqa: E402

@@ -101,3 +101,30 @@ class TestNullTracer:
         tracer = NullTracer()
         tracer.record(1, "a", "x")
         assert len(tracer) == 0
+
+
+class TestSink:
+    def test_sink_records_exactly_what_record_does(self):
+        via_record = TraceRecorder(capacity=3)
+        via_sink = TraceRecorder(capacity=3)
+        sink = via_sink.sink("issue")
+        for t in range(5):
+            via_record.record(t, "core0", "issue", "core0.t0")
+            sink(t, "core0", ("core0.t0",))
+        assert via_sink.records == via_record.records
+        assert via_sink.digest() == via_record.digest()
+        assert via_sink.dropped == via_record.dropped == 2
+
+    def test_filtered_kind_has_no_sink(self):
+        assert TraceRecorder(kinds={"token"}).sink("issue") is None
+        assert TraceRecorder(kinds={"issue"}).sink("issue") is not None
+        assert NullTracer().sink("issue") is None
+
+    def test_sink_survives_clear(self):
+        tracer = TraceRecorder()
+        sink = tracer.sink("issue")
+        sink(1, "core0", ())
+        tracer.clear()
+        sink(2, "core0", ())
+        assert [r.time_ps for r in tracer] == [2]
+        assert tracer.dropped == 0
