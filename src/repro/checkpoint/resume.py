@@ -1,12 +1,13 @@
 """Resumable runs: checkpointed execution, restore, rollback recovery.
 
-:class:`ResumableRun` drives a rebuildable workload one kernel event at
-a time, capturing :class:`~repro.checkpoint.snapshot.Snapshot` bundles
-at the policy's boundaries.  Because it peeks the queue
-(:meth:`Simulator.next_event_time`) instead of advancing the clock to a
-boundary, the checkpointed run executes the exact same event sequence
-as an uninterrupted one — checkpointing is observation, never
-perturbation.
+:class:`ResumableRun` drives a rebuildable workload through the
+kernel's one drain loop, :meth:`Simulator.run`, in chunks that end
+exactly at the policy's boundaries, and captures
+:class:`~repro.checkpoint.snapshot.Snapshot` bundles between chunks.
+Because a chunk stops *before* the first event past a time mark instead
+of advancing the clock to the mark, the checkpointed run executes the
+exact same event sequence as an uninterrupted one — checkpointing is
+observation, never perturbation.
 
 Three ways a run ends:
 
@@ -39,7 +40,7 @@ from repro.checkpoint.snapshot import CheckpointError, Snapshot
 from repro.checkpoint.workloads import RunContext, build_workload
 from repro.core.watchdog import RollbackSignal
 from repro.sim import us
-from repro.sim.engine import KERNEL_STATS, replay_window
+from repro.sim.engine import replay_window
 
 
 class RecoveryReport:
@@ -168,57 +169,67 @@ class ResumableRun:
     # -- the drive loop -----------------------------------------------------
 
     def _drive(self, kill_after_events: int | None = None) -> int:
-        """Step the kernel, capturing at policy boundaries.
+        """Run the kernel in chunks, capturing at policy boundaries.
 
+        Each chunk is one :meth:`Simulator.run` that stops exactly at
+        the next event-count mark (heartbeat, checkpoint or kill) or
+        before the first event past the next time mark; the marks are
+        handled between chunks, in the order a per-event loop would.
         Returns events executed by this call.  Stops when the queue
         drains or (setting :attr:`killed`) after ``kill_after_events``.
         """
         sim = self.context.system.sim
         executed = 0
-        try:
-            while True:
-                head = sim.next_event_time()
-                if head is None:
-                    return executed
-                if (
-                    self._next_time_mark is not None
-                    and head > self._next_time_mark
-                ):
-                    self.checkpoint()
-                    while head > self._next_time_mark:
-                        self._next_time_mark += us(self.policy.every_us)
-                    continue
-                if not sim.step():
-                    return executed
-                executed += 1
-                self.events_fresh += 1
-                heartbeat = self._heartbeat
-                if (
-                    heartbeat is not None
-                    and self.events_fresh >= self._beat_mark
-                ):
-                    heartbeat.beat(
-                        sim,
-                        events=self.events_fresh,
-                        events_replayed=self.events_replayed,
-                        checkpoints=self.captures,
-                    )
-                    self._beat_mark += heartbeat.every_events
-                if (
-                    self._next_events_mark is not None
-                    and sim.events_processed >= self._next_events_mark
-                ):
-                    self.checkpoint()
-                    self._next_events_mark += self.policy.every_events
-                if (
-                    kill_after_events is not None
-                    and executed >= kill_after_events
-                    and sim.next_event_time() is not None
-                ):
-                    self.killed = True
-                    return executed
-        finally:
-            KERNEL_STATS.events_executed += executed
+        while True:
+            head = sim.next_event_time()
+            if head is None:
+                return executed
+            if self._next_time_mark is not None and head > self._next_time_mark:
+                self.checkpoint()
+                while head > self._next_time_mark:
+                    self._next_time_mark += us(self.policy.every_us)
+                continue
+            distances = []
+            if self._heartbeat is not None:
+                distances.append(self._beat_mark - self.events_fresh)
+            if self._next_events_mark is not None:
+                distances.append(self._next_events_mark - sim.events_processed)
+            if kill_after_events is not None:
+                distances.append(kill_after_events - executed)
+            before = sim.events_processed
+            try:
+                ran = sim.run(
+                    max_events=max(min(distances), 1) if distances else None,
+                    until_ps=self._next_time_mark,
+                )
+            except BaseException:
+                # The event that raised was processed but not completed.
+                self.events_fresh += sim.events_processed - before - 1
+                raise
+            executed += ran
+            self.events_fresh += ran
+            heartbeat = self._heartbeat
+            if heartbeat is not None and self.events_fresh >= self._beat_mark:
+                heartbeat.beat(
+                    sim,
+                    events=self.events_fresh,
+                    events_replayed=self.events_replayed,
+                    checkpoints=self.captures,
+                )
+                self._beat_mark += heartbeat.every_events
+            if (
+                self._next_events_mark is not None
+                and sim.events_processed >= self._next_events_mark
+            ):
+                self.checkpoint()
+                self._next_events_mark += self.policy.every_events
+            if (
+                kill_after_events is not None
+                and executed >= kill_after_events
+                and sim.next_event_time() is not None
+            ):
+                self.killed = True
+                return executed
 
     def run(
         self,

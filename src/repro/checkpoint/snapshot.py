@@ -15,9 +15,9 @@ workload is rebuilt from its recorded setup (see
 the captured event count — the kernel is a pure function of its
 configuration, so the replay reproduces the queue through each
 component's own scheduling logic.  The snapshot then becomes the proof
-obligation: :meth:`Snapshot.verify` walks every hook and raises on the
-first diverging field, so a resume either continues byte-identically
-or fails loudly.
+obligation: :meth:`Snapshot.verify` compares every layer's fresh state
+with the captured one and raises on the first diverging field, so a
+resume either continues byte-identically or fails loudly.
 
 Bundles are canonical JSON (sorted keys, compact separators) carrying a
 schema version and a SHA-256 content digest; :meth:`Snapshot.load`
@@ -31,7 +31,8 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
-from repro.canonical import canonical_json, content_digest
+from repro.canonical import canonical_json, content_digest, write_atomic
+from repro.sim.state import verify_state
 
 if TYPE_CHECKING:
     from repro.core.nos import NanoOS
@@ -135,9 +136,8 @@ class Snapshot:
         return canonical_json(self.payload)
 
     def save(self, path) -> None:
-        """Write the bundle to ``path``."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
+        """Write the bundle to ``path`` atomically (temp file + rename)."""
+        write_atomic(path, self.to_json())
 
     @classmethod
     def from_json(cls, text: str) -> "Snapshot":
@@ -181,21 +181,24 @@ class Snapshot:
     ) -> None:
         """Check a replayed run against this snapshot, field by field.
 
-        Raises :class:`repro.sim.state.StateMismatchError` (or
-        ``SimulationError`` for the kernel) naming the first diverging
-        path.  Passing verification means the replay reproduced every
-        captured observable — the definition of a byte-identical resume.
+        One deep compare per layer present in both the bundle and the
+        call: the layer's fresh ``snapshot_state()`` against the
+        captured one.  Raises :class:`repro.sim.state.StateMismatchError`
+        naming the first diverging path (``system.cores.3.…``).  Passing
+        verification means the replay reproduced every captured
+        observable — the definition of a byte-identical resume.
         """
+        layers = (
+            ("system", "system", system),
+            ("campaign", "faults", campaign),
+            ("nos", "nos", nos),
+            ("watchdog", "watchdog", watchdog),
+            ("governor", "governor", governor),
+        )
         state = self.state
-        system.restore_state(state["system"])
-        if campaign is not None and "campaign" in state:
-            campaign.restore_state(state["campaign"])
-        if nos is not None and "nos" in state:
-            nos.restore_state(state["nos"])
-        if watchdog is not None and "watchdog" in state:
-            watchdog.restore_state(state["watchdog"])
-        if governor is not None and "governor" in state:
-            governor.restore_state(state["governor"])
+        for name, path, layer in layers:
+            if layer is not None and name in state:
+                verify_state(layer.snapshot_state(), state[name], path)
 
     def __repr__(self) -> str:
         return (

@@ -113,9 +113,3 @@ class PowerGovernor:
             "frequencies_mhz": list(self.log.frequencies_mhz),
             "adjustments": self.log.adjustments,
         }
-
-    def restore_state(self, state: dict) -> None:
-        """Verify the replayed governor against checkpointed state."""
-        from repro.sim.state import verify_state
-
-        verify_state(self.snapshot_state(), state, "governor")

@@ -511,12 +511,6 @@ class NanoOS:
             ],
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Verify the replayed runtime against checkpointed state."""
-        from repro.sim.state import verify_state
-
-        verify_state(self.snapshot_state(), state, "nos")
-
     # -- introspection ---------------------------------------------------------------
 
     @property

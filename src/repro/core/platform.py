@@ -247,12 +247,6 @@ class SwallowSystem:
             "energy": self.accounting.snapshot_state(),
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Verify a replayed platform against checkpointed state."""
-        from repro.sim.state import verify_state
-
-        verify_state(self.snapshot_state(), state, "system")
-
     def measured_gips(self) -> float:
         """Aggregate instruction throughput achieved so far, in GIPS."""
         if self.sim.now == 0:

@@ -287,12 +287,6 @@ class Watchdog:
             "actions": [dict(action) for action in self.actions],
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Verify a replayed watchdog against checkpointed state."""
-        from repro.sim.state import verify_state
-
-        verify_state(self.snapshot_state(), state, "watchdog")
-
     def __repr__(self) -> str:
         return (
             f"<Watchdog {len(self.watches)} watched, "

@@ -246,12 +246,6 @@ class EnergyAccounting:
             },
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Verify the replayed ledger against checkpointed state."""
-        from repro.sim.state import verify_state
-
-        verify_state(self.snapshot_state(), state, "energy")
-
     def register_metrics(self, registry) -> None:
         """Publish the ledger as metric series (lazily collected).
 

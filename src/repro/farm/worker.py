@@ -107,9 +107,7 @@ def execute_job(
         "checkpoints": run.captures,
         "recovery": recovery.to_dict(),
     }
-    (work_dir / f"outcome-a{attempt}.json").write_text(
-        json.dumps(outcome, sort_keys=True), encoding="utf-8"
-    )
+    write_atomic(work_dir / f"outcome-a{attempt}.json", canonical_json(outcome))
     if run.killed:
         return EXIT_PREEMPTED
     document = result_document(config, run.final_report())

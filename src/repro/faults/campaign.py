@@ -390,12 +390,6 @@ class FaultCampaign:
             "rng": [version, list(internal), gauss_next],
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Verify the replayed campaign against checkpointed state."""
-        from repro.sim.state import verify_state
-
-        verify_state(self.snapshot_state(), state, "faults")
-
     # -- aggregation --------------------------------------------------------
 
     def _tokens_dropped(self) -> int:

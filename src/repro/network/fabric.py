@@ -430,12 +430,6 @@ class SwallowFabric:
             state["netscope"] = self.netscope.snapshot_state()
         return state
 
-    def restore_state(self, state: dict) -> None:
-        """Verify the replayed fabric against checkpointed state."""
-        from repro.sim.state import verify_state
-
-        verify_state(self.snapshot_state(), state, "fabric")
-
     def __repr__(self) -> str:
         return (
             f"<SwallowFabric nodes={len(self.switches)} links={len(self.links)}>"

@@ -266,12 +266,6 @@ class HalfLink:
             "tokens_corrupted": self.tokens_corrupted,
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Verify a replayed link against checkpointed state."""
-        from repro.sim.state import verify_state
-
-        verify_state(self.snapshot_state(), state, self.name)
-
     def register_metrics(self, registry: "MetricsRegistry") -> None:
         """Publish this half-link's traffic series (lazily collected).
 

@@ -509,12 +509,6 @@ class Switch:
             "active_ports": ports,
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Verify a replayed switch against checkpointed state."""
-        from repro.sim.state import verify_state
-
-        verify_state(self.snapshot_state(), state, self.name)
-
     def direction_hold_hist(self, direction: Direction):
         """The per-direction route-hold histogram, created on first close.
 

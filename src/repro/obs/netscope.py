@@ -511,12 +511,6 @@ class NetScope:
             },
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Verify replayed observatory state against a checkpoint."""
-        from repro.sim.state import verify_state
-
-        verify_state(self.snapshot_state(), state, "netscope")
-
     def __repr__(self) -> str:
         return (
             f"<NetScope window={self.window_ps}ps "

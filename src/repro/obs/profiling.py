@@ -231,28 +231,29 @@ class SimProfile:
 class SimProfiler:
     """Live hook object installed on a :class:`~repro.sim.engine.Simulator`.
 
-    The simulator calls :meth:`on_event` just before an event's callback
-    runs; when that call returns True the event was *sampled* and the
-    simulator calls :meth:`after_event` right after the callback returns
-    so the callback is wall-timed.  :meth:`on_cancelled_pop` fires per
-    cancelled event discarded by the heap.  Queue push volume and the
-    depth high-water mark come from the simulator's own counters at
+    The simulator's profiled run loop
+    (:meth:`~repro.sim.engine.Simulator._run_profiled`, which also
+    serves :meth:`~repro.sim.engine.Simulator.step` while a profiler is
+    installed) owns the per-event bookkeeping: it tallies each event in
+    this object's run-length ledger, counts cancelled pops, and calls
+    :meth:`after_event` right after a *sampled* event's callback returns
+    so the callback is wall-timed.  Queue push volume and the depth
+    high-water mark come from the simulator's own counters at
     :meth:`finish` time — the scheduling hot path carries no profiler
     hook at all.
 
     ``wall_sample_every`` trades fidelity for overhead: 1 (default)
-    wall-times every callback; N times every N-th event and scales the
-    measured time by N.  ``depth_timeline_every`` sets the queue-depth
-    sampling stride, counted in *sampled* events; ``meta_capacity``
-    bounds the number of sampled events retained for the Chrome
-    meta-trace (0 disables it).
+    wall-times every callback; N times every N-th event of this
+    profiler's own count and scales the measured time by N.
+    ``depth_timeline_every`` sets the queue-depth sampling stride,
+    counted in *sampled* events; ``meta_capacity`` bounds the number of
+    sampled events retained for the Chrome meta-trace (0 disables it).
 
-    The per-event hook is deliberately minimal: events are tallied by
-    the callback's code object (shared across lambdas minted from the
-    same line, so per-token closures do not bloat the dict) and name
-    resolution is deferred to :meth:`finish`, off the hot path.  See
-    ``benchmarks/bench_observer_overhead.py`` for the budget this
-    protects.
+    Events are tallied by the callback's code object (shared across
+    lambdas minted from the same line, so per-token closures do not
+    bloat the dict) and name resolution is deferred to :meth:`finish`,
+    off the hot path.  See ``benchmarks/bench_observer_overhead.py`` for
+    the budget this protects.
     """
 
     def __init__(
@@ -279,8 +280,7 @@ class SimProfiler:
         #: into _counts.  Consecutive events usually share a callback
         #: (a core's tick loop), so the common hot-path case is a
         #:  pointer compare plus a local increment — no memory growth.
-        #: The simulator's profiled run loop inlines this (see
-        #: Simulator._run_profiled and Simulator.step); keep in sync.
+        #: The simulator's profiled run loop maintains it.
         self._buf: list[tuple[Any, int]] = []
         self._rle_key: Any = None
         self._rle_count = 0
@@ -298,34 +298,6 @@ class SimProfiler:
     def attach_queue(self, queue: list) -> None:
         """Let the profiler sample queue depth from the live event heap."""
         self._queue_ref = queue
-
-    def on_event(self, callback: Callable[[], None]) -> bool:
-        """One kernel event is about to execute.
-
-        Returns True when this event is wall-sampled, in which case the
-        caller must invoke :meth:`after_event` once the callback
-        returns.  The simulator's profiled run loop inlines this exact
-        logic to shave the call overhead off the kernel hot path
-        (:meth:`repro.sim.engine.Simulator._run_profiled`); keep the
-        two in sync.
-        """
-        try:
-            key = callback.__code__
-        except AttributeError:
-            key = callback
-        if key is self._rle_key:
-            self._rle_count += 1
-        else:
-            if self._rle_count:
-                self._buf.append((self._rle_key, self._rle_count))
-            self._rle_key = key
-            self._rle_count = 1
-        n = self._events = self._events + 1
-        if n % self._sample_every:
-            return False
-        self._current_key = key
-        self._event_start = time.perf_counter()
-        return True
 
     def after_event(self) -> None:
         """The sampled event's callback just returned."""
@@ -358,10 +330,6 @@ class SimProfiler:
         for key, count in self._buf:
             counts[key] += count
         self._buf.clear()
-
-    def on_cancelled_pop(self) -> None:
-        """The heap discarded a cancelled event."""
-        self._cancelled += 1
 
     def finish(
         self,

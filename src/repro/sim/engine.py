@@ -171,91 +171,114 @@ class Simulator:
             if head[2].cancelled:
                 heappop(queue)
                 if self._profiler is not None:
-                    self._profiler.on_cancelled_pop()
+                    self._profiler._cancelled += 1
                 continue
             return head[0]
         return None
 
     def step(self) -> bool:
-        """Run the single next event.  Returns False if the queue is empty."""
+        """Run the single next event.  Returns False if the queue is empty.
+
+        A lean single-event body for callers that step per event; with a
+        profiler installed, the event goes through the profiled loop.
+        """
+        if self._profiler is not None:
+            return self._run_profiled(1, None) == 1
         queue = self._queue
         while queue:
             time_ps, _, event = heappop(queue)
-            profiler = self._profiler
             if event.cancelled:
-                if profiler is not None:
-                    profiler.on_cancelled_pop()
                 continue
             self._now = time_ps
             self._events_processed += 1
             event.executed = True
-            if profiler is None:
-                event.callback()
-            elif profiler.on_event(event.callback):
-                event.callback()
-                profiler.after_event()
-            else:
-                event.callback()
+            event.callback()
             return True
         return False
 
-    def run(self, max_events: int | None = None) -> int:
-        """Run until the event queue drains (or ``max_events`` fire).
+    def run(self, max_events: int | None = None,
+            until_ps: int | None = None) -> int:
+        """The kernel's drain loop: run events in (time, seq) order.
 
-        Returns the number of events executed by this call.
+        Stops when the queue drains, when ``max_events`` events have
+        run, or when the next live event is later than ``until_ps``.
+        The clock is left at the last event run, never moved past it.
+        Each event's ``events_processed`` tick lands before its callback
+        runs.  Returns the number of events whose callbacks completed;
+        an event whose callback raises is processed but not counted
+        here or in :data:`KERNEL_STATS`.
         """
         if self._running:
             raise SimulationError("re-entrant call to Simulator.run()")
+        budget = -1 if max_events is None else max(max_events, 0)  # -1: no cap
         self._running = True
+        start = self._events_processed
         executed = 0
         try:
-            if self._profiler is not None and max_events is None:
-                executed = self._run_profiled()
+            if self._profiler is not None:
+                executed = self._run_profiled(budget, until_ps)
             else:
-                while self.step():
-                    executed += 1
-                    if max_events is not None and executed >= max_events:
+                queue = self._queue
+                while executed != budget and queue:
+                    time_ps, seq, event = heappop(queue)
+                    if event.cancelled:
+                        continue
+                    if until_ps is not None and time_ps > until_ps:
+                        # Popping first keeps a peek off the per-event
+                        # path; the one event past the mark goes back.
+                        heappush(queue, (time_ps, seq, event))
                         break
+                    self._now = time_ps
+                    self._events_processed += 1
+                    event.executed = True
+                    event.callback()
+                    executed += 1
+        except BaseException:
+            # The event whose callback raised was processed, not completed.
+            executed = self._events_processed - start - 1
+            raise
         finally:
             self._running = False
             KERNEL_STATS.events_executed += executed
         return executed
 
-    def _run_profiled(self) -> int:
-        """Drain the queue with the profiler's hot path hoisted.
+    def _run_profiled(self, budget: int, until_ps: int | None) -> int:
+        """:meth:`run`'s loop with the installed profiler's bookkeeping.
 
-        Identical semantics to ``while self.step(): ...`` with a
-        profiler installed, but every per-event attribute lookup (the
-        queue, the profiler's key buffer, the sampling stride, the
-        bound hook methods) is lifted into locals once.  The observed
+        Same stop rule and counting as the plain loop (``budget`` -1
+        means unbounded); the profiler's own event count doubles as the
+        loop counter.  The profiler's state — its event count,
+        run-length ledger and sampling phase — is lifted into locals
+        for the loop and written back on exit, because the observed
         kernel's per-event cost is what the observer-overhead budget
-        measures (benchmarks/bench_observer_overhead.py), and a Python
-        attribute load per event is a measurable slice of it.  Keep in
-        sync with step().
+        measures (benchmarks/bench_observer_overhead.py).  Wall time is
+        sampled on every ``wall_sample_every``-th event of the
+        profiler's own count, so step()- and run()-driven windows sample
+        the same events.
         """
         queue = self._queue
         profiler = self._profiler
         buf = profiler._buf  # retained across folds: _fold() clears in place
         stride = profiler._sample_every
         after_event = profiler.after_event
-        on_cancelled = profiler.on_cancelled_pop
-        executed = 0
-        next_sample = stride
-        processed_before = self._events_processed
-        events_before = profiler._events
-        # Run-length state mirrors SimProfiler._rle_key/_rle_count so
-        # step()-driven and run()-driven windows share one ledger.
+        start = count = profiler._events
+        stop = -1 if budget < 0 else start + budget
+        next_sample = count - count % stride + stride
         last_key = profiler._rle_key
         run_len = profiler._rle_count
+        cancelled = 0
         try:
-            while queue:
-                time_ps, _, event = heappop(queue)
+            while count != stop and queue:
+                time_ps, seq, event = heappop(queue)
                 if event.cancelled:
-                    on_cancelled()
+                    cancelled += 1
                     continue
+                if until_ps is not None and time_ps > until_ps:
+                    heappush(queue, (time_ps, seq, event))
+                    break
                 self._now = time_ps
+                self._events_processed += 1
                 event.executed = True
-                executed += 1
                 callback = event.callback
                 try:
                     key = callback.__code__
@@ -268,20 +291,21 @@ class Simulator:
                         buf.append((last_key, run_len))
                     last_key = key
                     run_len = 1
-                if executed != next_sample:
+                count += 1
+                if count != next_sample:
                     callback()
                 else:
-                    next_sample = executed + stride
+                    next_sample = count + stride
                     profiler._current_key = key
                     profiler._event_start = perf_counter()
                     callback()
                     after_event()
         finally:
-            self._events_processed = processed_before + executed
-            profiler._events = events_before + executed
+            profiler._events = count
+            profiler._cancelled += cancelled
             profiler._rle_key = last_key
             profiler._rle_count = run_len
-        return executed
+        return count - start
 
     def run_until(self, time_ps: int) -> int:
         """Run all events with timestamp <= ``time_ps``; advance time there.
@@ -292,27 +316,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot run backwards to {time_ps} ps from {self._now} ps"
             )
-        if self._running:
-            raise SimulationError("re-entrant call to Simulator.run_until()")
-        self._running = True
-        executed = 0
-        try:
-            queue = self._queue
-            while queue:
-                head = queue[0]
-                if head[2].cancelled:
-                    heappop(queue)
-                    if self._profiler is not None:
-                        self._profiler.on_cancelled_pop()
-                    continue
-                if head[0] > time_ps:
-                    break
-                self.step()
-                executed += 1
-        finally:
-            self._running = False
-            KERNEL_STATS.events_executed += executed
-        self._now = max(self._now, time_ps)
+        executed = self.run(until_ps=time_ps)
+        self._now = time_ps
         return executed
 
     def run_for(self, duration_ps: int) -> int:
@@ -401,23 +406,6 @@ class Simulator:
             "pending_events": self.pending_events,
             "queue_depth_hwm": self._queue_hwm,
         }
-
-    def restore_state(self, state: dict) -> None:
-        """Verify a replayed kernel against checkpointed state.
-
-        Called after the restore replay has re-registered and re-run the
-        schedulable state; every field must already match (the queue is
-        rebuilt by replay, never injected), so a mismatch means the
-        replay diverged — a non-deterministic workload or a corrupted
-        bundle — and raises ``SimulationError``.
-        """
-        mine = self.snapshot_state()
-        for key, expected in state.items():
-            if mine.get(key) != expected:
-                raise SimulationError(
-                    f"checkpoint restore diverged: sim.{key} is "
-                    f"{mine.get(key)!r}, bundle says {expected!r}"
-                )
 
 
 class Process:

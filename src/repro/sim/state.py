@@ -1,13 +1,13 @@
 """Checkpoint state plumbing shared by every stateful component.
 
 The checkpoint subsystem (:mod:`repro.checkpoint`) walks the platform
-calling ``snapshot_state()`` hooks, and — after a restore replay has
-re-registered the schedulable state — calls ``restore_state()`` hooks to
-reconcile each component against the bundle.  Restored state that must
-have been reproduced by the replay is *verified* rather than injected;
-this module provides the deep comparison those hooks share, reporting
-the first diverging path so a mismatch pinpoints the component and field
-instead of one opaque digest failure.
+calling ``snapshot_state()`` hooks.  After a restore replay has
+re-registered the schedulable state, the replayed state is *verified*
+against the bundle rather than injected: :meth:`Snapshot.verify` takes
+each layer's fresh ``snapshot_state()`` and deep-compares it with
+:func:`verify_state`, which reports the first diverging path so a
+mismatch pinpoints the component and field instead of one opaque digest
+failure.
 """
 
 from __future__ import annotations

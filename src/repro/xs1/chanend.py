@@ -236,11 +236,5 @@ class Chanend:
             "tx_waiting": self._tx_waiter is not None,
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Verify a replayed chanend against checkpointed state."""
-        from repro.sim.state import verify_state
-
-        verify_state(self.snapshot_state(), state, str(self))
-
     def __str__(self) -> str:
         return f"chanend {self.address}"

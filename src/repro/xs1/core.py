@@ -474,12 +474,6 @@ class XCore:
             },
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Verify a replayed core against checkpointed state."""
-        from repro.sim.state import verify_state
-
-        verify_state(self.snapshot_state(), state, self.name)
-
     def register_metrics(self, registry) -> None:
         """Publish this core's execution series (lazily collected).
 

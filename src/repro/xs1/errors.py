@@ -17,17 +17,18 @@ class AssemblerError(XS1Error):
         super().__init__(message)
 
 
-class MemoryAccessError(XS1Error):
-    """Raised for out-of-range or misaligned SRAM accesses.
-
-    The XS1-L traps these in hardware; the simulator raises instead, which
-    in a time-deterministic system is the analogous observable behaviour.
-    """
-
-
 class ResourceError(XS1Error):
     """Raised for invalid resource (chanend/timer/lock) operations."""
 
 
 class TrapError(XS1Error):
     """Raised when a thread executes an illegal or unimplemented operation."""
+
+
+class MemoryAccessError(TrapError):
+    """Raised for out-of-range or misaligned SRAM accesses.
+
+    The XS1-L traps these in hardware (a load/store exception), so this is
+    a :class:`TrapError`: code that handles traps handles memory faults
+    too.
+    """

@@ -105,9 +105,3 @@ class Sram:
             "stores": self.stores,
             "sha256": hashlib.sha256(self._data).hexdigest(),
         }
-
-    def restore_state(self, state: dict) -> None:
-        """Verify replayed SRAM contents against checkpointed state."""
-        from repro.sim.state import verify_state
-
-        verify_state(self.snapshot_state(), state, "sram")

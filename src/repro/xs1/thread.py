@@ -143,12 +143,6 @@ class HardwareThread:
             "waiting_for_event": self.waiting_for_event,
         }
 
-    def restore_state(self, state: dict) -> None:
-        """Verify a replayed thread against checkpointed state."""
-        from repro.sim.state import verify_state
-
-        verify_state(self.snapshot_state(), state, self.name)
-
 
 class IsaThread(HardwareThread):
     """A hardware thread executing an assembled :class:`Program`."""

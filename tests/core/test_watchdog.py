@@ -4,7 +4,7 @@ import pytest
 
 from repro import Compute, NanoOS, SwallowSystem
 from repro.core.watchdog import RollbackSignal, Watchdog
-from repro.sim import us
+from repro.sim import us, verify_state
 from repro.xs1.behavioral import Sleep
 
 
@@ -173,8 +173,8 @@ class TestLadder:
         ]
         watch = state["watches"][str(handle.task_id)]
         assert watch["escalations"] == 1
-        # And restore_state verifies (same object, no divergence).
-        watchdog.restore_state(state)
+        # And the state verifies (same object, no divergence).
+        verify_state(watchdog.snapshot_state(), state, "watchdog")
 
 
 class TestEscalationMetrics:

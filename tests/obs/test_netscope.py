@@ -32,6 +32,7 @@ from repro.obs.netscope import (
     fleet_heatmap,
     merge_heatmaps,
 )
+from repro.sim import verify_state
 
 #: faults_stream params with the observatory on; a mid-run kill of the
 #: stream's own link (0-8) forces a detour through the rest of the
@@ -227,7 +228,8 @@ class TestByteIdentity:
         assert "netscope" in state
         assert state["netscope"]["links"], "no link windows captured"
         # Self-verification round-trips (the restore-replay check).
-        fabric.netscope.restore_state(state["netscope"])
+        verify_state(fabric.netscope.snapshot_state(), state["netscope"],
+                     "netscope")
 
 
 class TestSliceCut:

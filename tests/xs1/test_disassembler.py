@@ -82,3 +82,18 @@ class TestRoundTrip:
         first = run(assemble(source))
         second = run(assemble(assemble(source).disassemble()))
         assert first == second
+
+    def test_memory_fault_traps_before_and_after_roundtrip(self):
+        """A misaligned load is a trap, in the original and the
+        reassembled program alike (a draw of the property above)."""
+        from repro.sim import Simulator
+        from repro.xs1 import LoopbackFabric, TrapError, XCore
+
+        source = "ldc r1, 1\nldw r0, r1, 0\nfreet"
+        for program in (assemble(source),
+                        assemble(assemble(source).disassemble())):
+            sim = Simulator()
+            core = XCore(sim, node_id=0, fabric=LoopbackFabric(sim))
+            core.spawn(program)
+            with pytest.raises(TrapError, match="misaligned"):
+                sim.run(max_events=100_000)
